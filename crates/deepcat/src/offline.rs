@@ -203,7 +203,9 @@ pub fn train_td3(
                 last_critic_loss = stats.critic1_loss;
                 telemetry::inc("offline.train_steps", 1);
                 telemetry::set_gauge("offline.critic_loss", stats.critic1_loss);
-                telemetry::set_gauge("offline.mean_min_q", stats.mean_min_q);
+                if iter % cfg.log_every == 0 {
+                    telemetry::set_gauge("offline.mean_min_q", agent.mean_min_q(&batch));
+                }
                 if let Some(a) = stats.actor_loss {
                     telemetry::set_gauge("offline.actor_loss", a);
                 }

@@ -146,14 +146,14 @@ pub fn train_td3_parallel(
                     break;
                 }
                 if let Some(batch) = replay.sample(agent_cfg.batch_size, &mut rng) {
-                    let (train_stats, tds) = agent.train_step(&batch);
+                    let (_, tds) = agent.train_step(&batch);
                     replay.update_priorities(&batch.indices, &tds);
                     stats.gradient_steps += 1;
                     if stats.gradient_steps % cfg.log_every as u64 == 0 {
                         log.records.push(crate::offline::IterRecord {
                             iteration: stats.gradient_steps as usize,
                             reward,
-                            min_q: train_stats.mean_min_q,
+                            min_q: agent.mean_min_q(&batch),
                             exec_time_s: 0.0,
                         });
                     }

@@ -17,8 +17,6 @@ pub struct TrainStats {
     pub critic2_loss: f64,
     /// Actor objective `−E[Q1(s, μ(s))]` (only on delayed update steps).
     pub actor_loss: Option<f64>,
-    /// Mean of `min(Q1, Q2)` over the batch under the current policy.
-    pub mean_min_q: f64,
 }
 
 /// Serializable snapshot of a trained TD3 agent (networks + optimizer
@@ -153,6 +151,34 @@ impl Td3Agent {
         q1.min(q2)
     }
 
+    /// `min(Q1, Q2)` of every `[state | action]` row of `sa`, from one
+    /// forward per critic. The forward pass keeps rows independent, so each
+    /// entry equals [`min_q`](Self::min_q) of that row bit for bit.
+    pub(crate) fn min_q_batch(&self, sa: &Matrix) -> Vec<f64> {
+        let q1 = self.critic1.infer(sa);
+        let q2 = self.critic2.infer(sa);
+        q1.as_slice()
+            .iter()
+            .zip(q2.as_slice())
+            .map(|(a, b)| a.min(*b))
+            .collect()
+    }
+
+    /// Mean of `min(Q1, Q2)` under the current policy over `batch`'s states
+    /// (the Fig. 3 diagnostic). It costs three batch forwards, so callers
+    /// run it only on the iterations they log.
+    pub(crate) fn mean_min_q(&self, batch: &Batch) -> f64 {
+        let states = Matrix::from_rows(
+            &batch
+                .transitions
+                .iter()
+                .map(|t| t.state.as_slice())
+                .collect::<Vec<_>>(),
+        );
+        let sa_now = states.hconcat(&self.actor.infer(&states));
+        self.min_q_batch(&sa_now).iter().sum::<f64>() / batch.len() as f64
+    }
+
     /// One TD3 gradient step on a replay batch. Returns diagnostics and the
     /// per-sample TD errors (for priority updates).
     pub fn train_step(&mut self, batch: &Batch) -> (TrainStats, Vec<f64>) {
@@ -227,7 +253,6 @@ impl Td3Agent {
             critic1_loss: c1_loss,
             critic2_loss: c2_loss,
             actor_loss: None,
-            mean_min_q: 0.0,
         };
 
         // ---- delayed policy + target updates ----
@@ -253,16 +278,6 @@ impl Td3Agent {
             self.critic2_target
                 .soft_update_from(&self.critic2, self.cfg.tau);
         }
-
-        // Mean min-Q under the current policy (diagnostic, Fig. 3).
-        let a_now = self.actor.infer(&states);
-        let sa_now = states.hconcat(&a_now);
-        let q1n = self.critic1.infer(&sa_now);
-        let q2n = self.critic2.infer(&sa_now);
-        stats.mean_min_q = (0..m)
-            .map(|r| q1n.get(r, 0).min(q2n.get(r, 0)))
-            .sum::<f64>()
-            / m as f64;
 
         (stats, td_errors)
     }

@@ -9,8 +9,14 @@
 //! filtered at negligible cost.
 
 use crate::td3::Td3Agent;
+use rand::rngs::StdRng;
 use rl::GaussianNoise;
 use serde::{Deserialize, Serialize};
+use tensor_nn::Matrix;
+
+/// Rounds in the largest chunk [`TwinQOptimizer::search`] draws ahead and
+/// scores in one forward per critic.
+const MAX_CHUNK_ROUNDS: usize = 16;
 
 /// Twin-Q Optimizer parameters.
 ///
@@ -79,29 +85,6 @@ impl TwinQOptimizer {
         }
     }
 
-    /// The smoothed sub-optimality indicator: mean of `min(Q1, Q2)` over
-    /// the action and a few jittered copies.
-    pub fn smoothed_min_q(
-        &self,
-        agent: &Td3Agent,
-        state: &[f64],
-        action: &[f64],
-        rng: &mut impl rand::Rng,
-    ) -> f64 {
-        let _span = telemetry::span!("twinq.rescore");
-        let n = self.smoothing_samples.max(1);
-        if n == 1 {
-            return agent.min_q(state, action);
-        }
-        let jitter = GaussianNoise::new(action.len(), self.sigma * 0.25);
-        let mut sum = agent.min_q(state, action);
-        for _ in 1..n {
-            let a = jitter.perturb(action, rng);
-            sum += agent.min_q(state, &a);
-        }
-        sum / n as f64
-    }
-
     /// Algorithm 1: optimize `action` for `state` under `agent`'s twin
     /// critics.
     pub fn optimize(
@@ -109,43 +92,12 @@ impl TwinQOptimizer {
         agent: &Td3Agent,
         state: &[f64],
         action: Vec<f64>,
-        rng: &mut impl rand::Rng,
+        rng: &mut StdRng,
     ) -> TwinQResult {
         let noise = GaussianNoise::new(action.len(), self.sigma);
         let loop_span = telemetry::span!("twinq.loop");
-        let initial_q = self.smoothed_min_q(agent, state, &action, rng);
-        let mut current = action;
-        let mut current_q = initial_q;
-        let (mut best, mut best_q) = (current.clone(), current_q);
-        let mut iterations = 0;
-        while current_q < self.q_threshold && iterations < self.max_iters {
-            current = noise.perturb(&current, rng);
-            current_q = self.smoothed_min_q(agent, state, &current, rng);
-            if current_q > best_q {
-                best_q = current_q;
-                best = current.clone();
-            }
-            iterations += 1;
-        }
+        let result = self.search(agent, state, action, rng, |a, rng| noise.perturb(a, rng));
         drop(loop_span);
-        let result = if current_q >= self.q_threshold {
-            TwinQResult {
-                action: current,
-                initial_q,
-                final_q: current_q,
-                iterations,
-                accepted: true,
-            }
-        } else {
-            // Cap hit: fall back to the best candidate seen.
-            TwinQResult {
-                action: best,
-                initial_q,
-                final_q: best_q,
-                iterations,
-                accepted: false,
-            }
-        };
         telemetry::inc("twinq.calls", 1);
         // Each perturbation round scored a candidate with the critics
         // instead of paying for a real evaluation.
@@ -161,6 +113,101 @@ impl TwinQOptimizer {
             accepted = result.accepted,
         );
         result
+    }
+
+    /// Algorithm 1's loop with the perturbation left to the caller: round 0
+    /// scores `action`, round `r ≥ 1` scores `step` applied to round
+    /// `r − 1`'s candidate. A candidate's score is the mean of
+    /// `min(Q1, Q2)` over it and `smoothing_samples − 1` jittered copies.
+    ///
+    /// The walk does not depend on the scores; only where it stops does.
+    /// So rounds are drawn ahead in chunks of 1, 2, 4, … up to
+    /// [`MAX_CHUNK_ROUNDS`], in the serial RNG order (step, then its
+    /// jitters), and each chunk is scored in one forward per critic. The
+    /// scan then applies the serial stop and best-tracking rules and
+    /// rewinds `rng` to its state just after the stopping round. Result and
+    /// RNG stream are bit-identical to scoring one round at a time.
+    pub(crate) fn search(
+        &self,
+        agent: &Td3Agent,
+        state: &[f64],
+        action: Vec<f64>,
+        rng: &mut StdRng,
+        mut step: impl FnMut(&[f64], &mut StdRng) -> Vec<f64>,
+    ) -> TwinQResult {
+        let n = self.smoothing_samples.max(1);
+        let jitter = GaussianNoise::new(action.len(), self.sigma * 0.25);
+        let width = state.len() + action.len();
+        let mut walk = action;
+        let (mut drawn, mut chunk) = (0, 1);
+        let (mut initial_q, mut best_q, mut best) = (f64::NAN, f64::NAN, Vec::new());
+        let mut iterations = 0;
+        loop {
+            let rounds = chunk.min((self.max_iters - drawn).saturating_add(1));
+            let span = telemetry::span!("twinq.rescore");
+            let mut rows = Vec::with_capacity(rounds * n * width);
+            let mut candidates = Vec::with_capacity(rounds);
+            let mut rng_after = Vec::with_capacity(rounds);
+            for round in drawn..drawn + rounds {
+                if round > 0 {
+                    walk = step(&walk, rng);
+                }
+                rows.extend_from_slice(state);
+                rows.extend_from_slice(&walk);
+                for _ in 1..n {
+                    rows.extend_from_slice(state);
+                    rows.extend(jitter.perturb(&walk, rng));
+                }
+                candidates.push(walk.clone());
+                rng_after.push(rng.state());
+            }
+            let qs = agent.min_q_batch(&Matrix::from_vec(rounds * n, width, rows));
+            drop(span);
+            for ((candidate, q), after) in candidates.into_iter().zip(qs.chunks(n)).zip(rng_after) {
+                // Row order, starting from the candidate's own score: the
+                // summation order bit-identity with serial scoring needs.
+                let score = q
+                    .iter()
+                    .copied()
+                    .reduce(|sum, v| sum + v)
+                    .unwrap_or(f64::NAN)
+                    / n as f64;
+                if drawn == 0 {
+                    initial_q = score;
+                    best_q = score;
+                    best = candidate.clone();
+                } else {
+                    iterations += 1;
+                    if score > best_q {
+                        best_q = score;
+                        best = candidate.clone();
+                    }
+                }
+                drawn += 1;
+                if !(score < self.q_threshold && iterations < self.max_iters) {
+                    *rng = StdRng::from_state(after);
+                    return if score >= self.q_threshold {
+                        TwinQResult {
+                            action: candidate,
+                            initial_q,
+                            final_q: score,
+                            iterations,
+                            accepted: true,
+                        }
+                    } else {
+                        // Cap hit: fall back to the best candidate seen.
+                        TwinQResult {
+                            action: best,
+                            initial_q,
+                            final_q: best_q,
+                            iterations,
+                            accepted: false,
+                        }
+                    };
+                }
+            }
+            chunk = (chunk * 2).min(MAX_CHUNK_ROUNDS);
+        }
     }
 }
 

@@ -12,7 +12,7 @@
 
 use crate::td3::Td3Agent;
 use crate::twinq::{TwinQOptimizer, TwinQResult};
-use rand::Rng;
+use rand::rngs::StdRng;
 use rand_distr::{Distribution, Normal};
 use serde::{Deserialize, Serialize};
 use spark_sim::{idx, RunMetrics};
@@ -127,7 +127,7 @@ impl WhiteBoxTwinQ {
         state: &[f64],
         action: Vec<f64>,
         last_metrics: Option<&RunMetrics>,
-        rng: &mut impl Rng,
+        rng: &mut StdRng,
     ) -> (TwinQResult, Option<Bottleneck>) {
         let Some(metrics) = last_metrics else {
             return (self.inner.optimize(agent, state, action, rng), None);
@@ -136,39 +136,13 @@ impl WhiteBoxTwinQ {
         let mask = relevant_knobs(bottleneck);
         // PANIC-SAFETY: TwinQConfig keeps sigma finite and >= 0.
         let normal = Normal::new(0.0, self.inner.sigma).expect("valid sigma");
-        let initial_q = self.inner.smoothed_min_q(agent, state, &action, rng);
-        let mut current = action;
-        let mut current_q = initial_q;
-        let (mut best, mut best_q) = (current.clone(), current_q);
-        let mut iterations = 0;
-        while current_q < self.inner.q_threshold && iterations < self.inner.max_iters {
+        let result = self.inner.search(agent, state, action, rng, |a, rng| {
+            let mut next = a.to_vec();
             for &d in mask {
-                current[d] = (current[d] + normal.sample(rng)).clamp(0.0, 1.0);
+                next[d] = (next[d] + normal.sample(rng)).clamp(0.0, 1.0);
             }
-            current_q = self.inner.smoothed_min_q(agent, state, &current, rng);
-            if current_q > best_q {
-                best_q = current_q;
-                best = current.clone();
-            }
-            iterations += 1;
-        }
-        let result = if current_q >= self.inner.q_threshold {
-            TwinQResult {
-                action: current,
-                initial_q,
-                final_q: current_q,
-                iterations,
-                accepted: true,
-            }
-        } else {
-            TwinQResult {
-                action: best,
-                initial_q,
-                final_q: best_q,
-                iterations,
-                accepted: false,
-            }
-        };
+            next
+        });
         (result, Some(bottleneck))
     }
 }

@@ -63,7 +63,7 @@ impl Matrix {
         Self { rows, cols, data }
     }
 
-    /// A `1 × n` row vector borrowing from a slice.
+    /// A `1 × n` row vector holding a copy of `v`.
     pub fn row_vector(v: &[f64]) -> Self {
         Self {
             rows: 1,
@@ -151,6 +151,13 @@ impl Matrix {
     /// `self · otherᵀ`. Both operands are walked row-contiguously, so this is
     /// the cheapest product shape; layers store weights so forward passes use
     /// it.
+    ///
+    /// Register-tiled: one pass over `k` fills a block of up to
+    /// `TILE × TILE` outputs, each in its own accumulator, so that many
+    /// sums are in flight instead of one. Every output is still a single
+    /// dot product summed from `+0.0` in increasing `k` with a plain
+    /// multiply then add (no FMA, no reassociation), so the result is
+    /// bit-identical to one serial dot product per output.
     pub fn matmul_transpose_b(&self, other: &Matrix) -> Matrix {
         assert_eq!(
             self.cols, other.cols,
@@ -158,19 +165,37 @@ impl Matrix {
             self.rows, self.cols, other.rows, other.cols
         );
         let mut out = Matrix::zeros(self.rows, other.rows);
-        for i in 0..self.rows {
-            let a_row = self.row(i);
-            let out_row = out.row_mut(i);
-            for (j, o) in out_row.iter_mut().enumerate() {
-                let b_row = other.row(j);
-                let mut acc = 0.0;
-                for (&a, &b) in a_row.iter().zip(b_row) {
-                    acc += a * b;
-                }
-                *o = acc;
-            }
+        let mut i = 0;
+        while i + TILE <= self.rows {
+            self.transpose_b_rows::<TILE>(other, i, &mut out);
+            i += TILE;
+        }
+        for i in i..self.rows {
+            self.transpose_b_rows::<1>(other, i, &mut out);
         }
         out
+    }
+
+    /// Output rows `i..i + R` of `self · otherᵀ`, in `R × TILE` tiles plus
+    /// `R × 1` tiles for the columns left over.
+    fn transpose_b_rows<const R: usize>(&self, other: &Matrix, i: usize, out: &mut Matrix) {
+        let k = self.cols;
+        let a: [&[f64]; R] = std::array::from_fn(|r| self.row(i + r));
+        let mut j = 0;
+        while j + TILE <= other.rows {
+            let b: [&[f64]; TILE] = std::array::from_fn(|c| other.row(j + c));
+            let acc = dot_tile(a, b, k);
+            for (r, sums) in acc.iter().enumerate() {
+                out.row_mut(i + r)[j..j + TILE].copy_from_slice(sums);
+            }
+            j += TILE;
+        }
+        for j in j..other.rows {
+            let acc = dot_tile(a, [other.row(j)], k);
+            for (r, sums) in acc.iter().enumerate() {
+                out.set(i + r, j, sums[0]);
+            }
+        }
     }
 
     /// `selfᵀ · other` — used for weight gradients (`xᵀ · δ`).
@@ -349,6 +374,34 @@ impl Matrix {
     }
 }
 
+/// Edge of the square output tile [`Matrix::matmul_transpose_b`] fills per
+/// pass over `k`: 16 accumulators fit the x86-64 baseline's 16 vector
+/// registers.
+const TILE: usize = 4;
+
+/// The `R × C` dot products `a[r] · b[c]` over their first `k` entries,
+/// each summed in its own accumulator from `+0.0` in increasing `k`.
+#[inline(always)]
+fn dot_tile<const R: usize, const C: usize>(
+    a: [&[f64]; R],
+    b: [&[f64]; C],
+    k: usize,
+) -> [[f64; C]; R] {
+    // Re-slicing to exactly `k` lets the compiler drop the bounds checks.
+    let a = a.map(|row| &row[..k]);
+    let b = b.map(|row| &row[..k]);
+    let mut acc = [[0.0; C]; R];
+    for kk in 0..k {
+        for (sums, row) in acc.iter_mut().zip(&a) {
+            let x = row[kk];
+            for (s, col) in sums.iter_mut().zip(&b) {
+                *s += x * col[kk];
+            }
+        }
+    }
+    acc
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -368,6 +421,48 @@ mod tests {
         let fast = a.matmul_transpose_b(&b);
         let slow = a.matmul(&b.transpose());
         assert_eq!(fast, slow);
+
+        // Bit-identical to one serial dot product per output, summed from
+        // +0.0 in increasing k, on shapes covering full and partial tiles
+        // (1 row, row and column counts not a multiple of 4, k = 0) with
+        // zero, negative-zero and negative entries.
+        let entry = |seed: usize| {
+            move |r: usize, c: usize| match (r * 7 + c * 3 + seed) % 6 {
+                0 => 0.0,
+                1 => -0.0,
+                v => ((r * 13 + c * 5 + seed) % 11) as f64 * 0.37 - 1.9 * v as f64,
+            }
+        };
+        for (m, k, n) in [
+            (1, 41, 64),
+            (1, 64, 1),
+            (1, 5, 3),
+            (2, 3, 7),
+            (4, 4, 4),
+            (5, 7, 6),
+            (9, 3, 13),
+            (64, 41, 64),
+            (3, 0, 5),
+            (0, 3, 4),
+        ] {
+            let a = Matrix::from_fn(m, k, entry(1));
+            let b = Matrix::from_fn(n, k, entry(2));
+            let fast = a.matmul_transpose_b(&b);
+            assert_eq!((fast.rows(), fast.cols()), (m, n));
+            for i in 0..m {
+                for j in 0..n {
+                    let mut acc = 0.0;
+                    for kk in 0..k {
+                        acc += a.get(i, kk) * b.get(j, kk);
+                    }
+                    assert_eq!(
+                        fast.get(i, j).to_bits(),
+                        acc.to_bits(),
+                        "({m}x{k})·({n}x{k})ᵀ at ({i}, {j})"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

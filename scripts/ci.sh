@@ -8,6 +8,11 @@ cargo build --release
 cargo test -q
 cargo fmt --check
 
+# Benchmark smoke contract: perfbench (its own Cargo package, see
+# BENCHMARK.json) must still run every workload at smoke size and report
+# the metrics the benchmark declares.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 # Static analysis: token families plus the AST/call-graph families
 # (concurrency.lock_order, concurrency.guard_across_emit,
 # panic.reachable, determinism.entropy_flow, telemetry.session_scope) —
